@@ -2,8 +2,9 @@
 
 The paper reports ~480-530 design points per kernel with average graph sizes
 of 137-447 nodes.  The benchmark regenerates the same two columns for the
-configured scale (smaller by default; see EXPERIMENTS.md for the recorded run
-and the comparison against the paper's values).
+configured scale (smaller by default; ``benchmarks/latest_results.txt`` records
+the runs, and a comparison against the paper's values at a larger scale is
+direction 5 of ROADMAP.md).
 """
 
 from __future__ import annotations

@@ -15,6 +15,12 @@ updating Hamming sums and change counts online.  Normalisation by the latency
 ``L`` is deferred to :class:`~repro.activity.simulator.ActivityProfile`, which
 lets one simulation be reused across design points that share the same IR but
 have different schedules (e.g. pipelined vs not).
+
+The tracer, attached to :class:`~repro.ir.interpreter.IRInterpreter`, is the
+reference the compiled simulator (:mod:`repro.activity.compiled`) is tested
+against; production featurisation does not run it.
+:class:`ValueStreamStats` is shared by both: it is what profile accessors
+return.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from repro.ir.instructions import Instruction
 from repro.ir.types import VoidType
 
 
-@dataclass
+@dataclass(slots=True)
 class ValueStreamStats:
     """Streaming statistics of one sequence of values (a ``src`` or ``snk`` stream)."""
 
@@ -34,7 +40,8 @@ class ValueStreamStats:
     exec_count: int = 0
     change_count: int = 0
     hamming_sum: int = 0
-    _last_bits: int | None = field(default=None, repr=False)
+    #: Scratch state of :meth:`observe`, not part of the statistics.
+    _last_bits: int | None = field(default=None, repr=False, compare=False)
 
     def observe(self, bits: int) -> None:
         """Account for one more value in the stream."""

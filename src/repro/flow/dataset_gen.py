@@ -13,7 +13,10 @@ data pipeline of Fig. 1:
 Because the IR (and therefore the activity profile) depends only on the loop
 pragmas — not on array partitioning — lowered designs and activity profiles
 are cached per loop-pragma configuration, which speeds up full design-space
-sweeps several-fold.
+sweeps several-fold.  On the serving path the small, position-keyed profiles
+stay cached across :meth:`DatasetGenerator.featurise` calls while the lowered
+IR is cached only within a call: re-lowering costs far less than keeping the
+IR of every configuration alive for the life of the service.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ class DatasetConfig:
     """Configuration of the dataset generator.
 
     The paper uses ~500 design points per kernel generated with Vivado HLS on
-    full-size PolyBench; the defaults here are laptop-sized (see
-    EXPERIMENTS.md) and every knob can be raised toward the paper's scale.
+    full-size PolyBench; the defaults here are laptop-sized (the runs at this
+    scale are recorded in ``benchmarks/latest_results.txt``) and every knob
+    can be raised toward the paper's scale.
     """
 
     kernel_size: int = 8
@@ -88,8 +92,8 @@ class DatasetGenerator:
         )
         self.vivado = VivadoPowerEstimator()
         self.runtime_model = RuntimeModel()
-        #: Per-kernel (stimuli, lowered_cache, profile_cache, baseline_report)
-        #: memoised across :meth:`featurise` calls (the serving path).
+        #: Per-kernel (stimuli, profile_cache, baseline_report) memoised
+        #: across :meth:`featurise` calls (the serving path).
         self._serving_state: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------ public
@@ -153,24 +157,24 @@ class DatasetGenerator:
         if isinstance(kernel, str):
             kernel = polybench_kernel(kernel, self.config.kernel_size)
         state = self._serving_state.get(kernel.name)
+        lowered_cache: dict[tuple, LoweredDesign] = {}
         if state is None:
-            # The stimuli, the baseline report and the lowering / activity
-            # caches are deterministic per (kernel, config); memoise them on
-            # the generator so a stream of single-design featurisation
-            # requests does not re-run the baseline HLS flow every time.
+            # The stimuli, the baseline report and the activity profiles are
+            # deterministic per (kernel, config); memoise them on the
+            # generator so a stream of single-design featurisation requests
+            # does not re-run the baseline HLS flow every time.
             stimuli = StimulusGenerator(
                 seed=derive_seed(self.config.stimulus_seed, kernel.name),
                 profile=self.config.stimulus_profile,
             ).for_kernel(kernel)
-            lowered_cache: dict[tuple, LoweredDesign] = {}
             profile_cache: dict[tuple, ActivityProfile] = {}
             baseline_design = self._lowered_design(
                 kernel, baseline_directives(kernel), lowered_cache
             )
             baseline_report = self._run_backend(baseline_design).report
-            state = (stimuli, lowered_cache, profile_cache, baseline_report)
+            state = (stimuli, profile_cache, baseline_report)
             self._serving_state[kernel.name] = state
-        stimuli, lowered_cache, profile_cache, baseline_report = state
+        stimuli, profile_cache, baseline_report = state
         return [
             self._generate_sample(
                 kernel, directives, stimuli, lowered_cache, profile_cache, baseline_report
@@ -239,7 +243,8 @@ class DatasetGenerator:
         if cached is None:
             cached = simulate_activity(design, stimuli)
             profile_cache[key] = cached
-        return cached
+        # A profile cached by an earlier call describes an earlier lowering.
+        return cached.for_function(design.function)
 
     def _run_backend(self, design: LoweredDesign) -> HLSResult:
         schedule = self.scheduler.schedule(design)

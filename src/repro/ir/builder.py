@@ -233,6 +233,9 @@ class IRBuilder:
     def fptosi(self, value: Value, target: IntType = INT32) -> Instruction:
         return self._cast(Opcode.FPTOSI, value, target, "fptosi")
 
+    def bitcast(self, value: Value, target: IRType) -> Instruction:
+        return self._cast(Opcode.BITCAST, value, target, "bitcast")
+
     # --------------------------------------------------------------- bitwise
 
     def and_(self, lhs: Value, rhs: Value) -> Instruction:
@@ -246,6 +249,12 @@ class IRBuilder:
 
     def shl(self, lhs: Value, rhs: Value) -> Instruction:
         return self._binary(Opcode.SHL, lhs, rhs, "shl")
+
+    def lshr(self, lhs: Value, rhs: Value) -> Instruction:
+        return self._binary(Opcode.LSHR, lhs, rhs, "lshr")
+
+    def ashr(self, lhs: Value, rhs: Value) -> Instruction:
+        return self._binary(Opcode.ASHR, lhs, rhs, "ashr")
 
     # --------------------------------------------------------------- control
 

@@ -1,12 +1,13 @@
 """Interpreter for the structured HLS IR.
 
-The interpreter plays the role of the instrumented C/IR co-simulation the
-paper uses to trace switching activity: it executes a kernel function on a
-testbench stimulus and notifies registered observers of every dynamic
-instruction execution (operand values consumed and result value produced).
-The activity tracer (:mod:`repro.activity.tracer`) consumes these events to
-accumulate Hamming-distance statistics per static instruction, which is all
-Eq. (2)/(3) need.
+The interpreter executes a kernel function on a testbench stimulus and
+notifies registered observers of every dynamic instruction execution (operand
+values consumed and result value produced).  With the activity tracer
+(:mod:`repro.activity.tracer`) attached it computes the per-instruction
+Hamming-distance statistics Eq. (2)/(3) need, one dynamic instruction at a
+time.  It defines the IR's execution semantics and is the test oracle of the
+compiled activity simulator (:mod:`repro.activity.compiled`), which is what
+featurisation runs.
 """
 
 from __future__ import annotations

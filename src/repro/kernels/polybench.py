@@ -5,7 +5,8 @@ gesummv, 2mm, 3mm, mvt, syrk and syr2k.  Each function below builds the
 corresponding :class:`~repro.kernels.spec.KernelSpec` with a configurable
 problem size ``n`` (the paper uses full PolyBench sizes on a real board; the
 default here is kept small so that activity simulation over the whole design
-space stays laptop-friendly — see EXPERIMENTS.md).
+space stays laptop-friendly; ``benchmarks/latest_results.txt`` records the
+runs at this size).
 
 Loop names are unique within a kernel so that design directives can address
 individual loops (``i0``, ``j0`` for the first nest, ``i1``, ``j1`` for the

@@ -80,6 +80,18 @@ def test_value_stream_stats_merge():
     assert merged.hamming_sum == a.hamming_sum + b.hamming_sum
 
 
+def test_value_stream_stats_equality_ignores_the_last_observed_value():
+    a = ValueStreamStats(bit_width=8)
+    b = ValueStreamStats(bit_width=8)
+    for value in (0b000, 0b011, 0b001):
+        a.observe(value)
+    for value in (0b100, 0b111, 0b101):  # same transitions, different last value
+        b.observe(value)
+    assert (a.exec_count, a.change_count, a.hamming_sum) == (3, 2, 3)
+    assert a == b
+    assert ValueStreamStats(bit_width=8).merged_with(a) == a
+
+
 def test_tracer_edge_activity_directions(gemm_kernel):
     design = lower_kernel(gemm_kernel)
     profile = simulate_activity(design, seed=0)
