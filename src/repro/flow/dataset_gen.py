@@ -16,7 +16,9 @@ are cached per loop-pragma configuration, which speeds up full design-space
 sweeps several-fold.  On the serving path the small, position-keyed profiles
 stay cached across :meth:`DatasetGenerator.featurise` calls while the lowered
 IR is cached only within a call: re-lowering costs far less than keeping the
-IR of every configuration alive for the life of the service.
+IR of every configuration alive for the life of the service.  The graph
+constructor's base graphs (one per unroll configuration, see
+:mod:`repro.graph.construction`) share the lowered IR's scope.
 """
 
 from __future__ import annotations
@@ -124,6 +126,7 @@ class DatasetGenerator:
 
         lowered_cache: dict[tuple, LoweredDesign] = {}
         profile_cache: dict[tuple, ActivityProfile] = {}
+        bases: dict = {}
 
         baseline_report: HLSReport | None = None
         dataset = GraphDataset()
@@ -134,6 +137,7 @@ class DatasetGenerator:
                 stimuli,
                 lowered_cache,
                 profile_cache,
+                bases,
                 baseline_report,
             )
             if directives.is_baseline or baseline_report is None:
@@ -175,9 +179,16 @@ class DatasetGenerator:
             state = (stimuli, profile_cache, baseline_report)
             self._serving_state[kernel.name] = state
         stimuli, profile_cache, baseline_report = state
+        bases: dict = {}
         return [
             self._generate_sample(
-                kernel, directives, stimuli, lowered_cache, profile_cache, baseline_report
+                kernel,
+                directives,
+                stimuli,
+                lowered_cache,
+                profile_cache,
+                bases,
+                baseline_report,
             )
             for directives in directives_list
         ]
@@ -242,9 +253,11 @@ class DatasetGenerator:
         cached = profile_cache.get(key)
         if cached is None:
             cached = simulate_activity(design, stimuli)
-            profile_cache[key] = cached
-        # A profile cached by an earlier call describes an earlier lowering.
-        return cached.for_function(design.function)
+        # A profile cached by an earlier call describes an earlier lowering:
+        # keep it bound to this call's, which the graph constructor's base
+        # graphs are keyed by.
+        profile_cache[key] = cached.for_function(design.function)
+        return profile_cache[key]
 
     def _run_backend(self, design: LoweredDesign) -> HLSResult:
         schedule = self.scheduler.schedule(design)
@@ -282,6 +295,7 @@ class DatasetGenerator:
         stimuli,
         lowered_cache,
         profile_cache,
+        bases: dict,
         baseline_report: HLSReport | None,
     ) -> GraphSample:
         design = self._lowered_design(kernel, directives, lowered_cache)
@@ -290,7 +304,7 @@ class DatasetGenerator:
             kernel, directives, design, stimuli, profile_cache
         )
         graph = self.graph_constructor.build(
-            hls_result, profile, baseline_report=baseline_report
+            hls_result, profile, baseline_report=baseline_report, bases=bases
         )
         measurement = self.ground_truth.measure(hls_result, profile)
         vivado_estimate = self.vivado.estimate(hls_result, profile)

@@ -22,6 +22,18 @@ heterogeneous power graph in four steps:
 Feature annotation is delegated to :class:`~repro.graph.features.FeatureEncoder`.
 Every pass can be disabled through :class:`GraphConstructionConfig`, which the
 ablation benchmarks use to quantify the contribution of the construction flow.
+
+Steps 1 and 2 depend only on the lowered function and its activity profile,
+which every design point of one unroll configuration shares; the one
+per-design attribute they produce is the partition factor of each buffer
+node.  They therefore build a *base graph* once per ``(function, profile)``
+pair.  :meth:`GraphConstructor.build` takes an optional ``bases`` mapping that
+the caller keeps for one featurisation call (the dataset generator makes a
+new one per call, next to its lowered-IR cache, so no base outlives a call):
+each design copies its base, sets the partition factors from its own
+directives, then runs merging, trimming and feature annotation on the copy,
+because those passes read the design's schedule and binding.  Without a
+mapping every build makes its own base.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from repro.graph.hetero_graph import HeteroGraph
 from repro.graph.power_graph import PowerGraph, PowerGraphEdge, PowerGraphNode
 from repro.hls.report import HLSReport, HLSResult
 from repro.ir.instructions import Instruction, Opcode, TRIVIAL_OPCODES
+from repro.ir.module import Function
 from repro.ir.types import ArrayType, PointerType
 from repro.ir.validation import pointer_roots
 
@@ -59,6 +72,23 @@ class GraphConstructionConfig:
         )
 
 
+@dataclass
+class _BaseGraph:
+    """Initial DFG plus buffer insertion of one ``(function, profile)`` pair.
+
+    Holds the function and profile it was built from, so that their ids,
+    which key it in a ``bases`` mapping, stay unique while it is there.
+    """
+
+    function: Function
+    profile: ActivityProfile
+    graph: PowerGraph
+    #: Instruction uid -> node id (address nodes included, though removed).
+    uid_to_node: dict[int, int]
+    #: Buffer name -> buffer node id; the partition factors are per design.
+    buffer_nodes: dict[str, int]
+
+
 class GraphConstructor:
     """Builds heterogeneous power graphs from HLS results."""
 
@@ -73,14 +103,31 @@ class GraphConstructor:
     # ------------------------------------------------------------------ public
 
     def build_power_graph(
-        self, hls_result: HLSResult, profile: ActivityProfile
+        self,
+        hls_result: HLSResult,
+        profile: ActivityProfile,
+        bases: dict | None = None,
     ) -> PowerGraph:
-        """Run the construction passes and return the mutable power graph."""
-        graph, load_store_buffers, uid_to_node = self._initial_graph(hls_result, profile)
-        if self.config.buffer_insertion:
-            self._insert_buffers(graph, hls_result, load_store_buffers, uid_to_node)
+        """Run the construction passes and return the mutable power graph.
+
+        ``bases`` maps ``(id(function), id(profile))`` to the base graph of
+        that pair; a missing base is built and added.  Keep one mapping per
+        constructor and per featurisation call.
+        """
+        function = hls_result.design.function
+        key = (id(function), id(profile))
+        base = bases.get(key) if bases is not None else None
+        if base is None:
+            base = self._base_graph(function, profile)
+            if bases is not None:
+                bases[key] = base
+        graph = base.graph.copy()
+        partitions = hls_result.design.array_partitions
+        for name, node_id in base.buffer_nodes.items():
+            partition = partitions.get(name)
+            graph.nodes[node_id].partition_factor = partition.factor if partition else 1
         if self.config.datapath_merging:
-            self._merge_datapaths(graph, hls_result, uid_to_node)
+            self._merge_datapaths(graph, hls_result, base.uid_to_node)
         if self.config.trimming:
             self._trim(graph)
         return graph
@@ -90,9 +137,13 @@ class GraphConstructor:
         hls_result: HLSResult,
         profile: ActivityProfile,
         baseline_report: HLSReport | None = None,
+        bases: dict | None = None,
     ) -> HeteroGraph:
-        """Full flow: construction passes plus feature annotation."""
-        graph = self.build_power_graph(hls_result, profile)
+        """Full flow: construction passes plus feature annotation.
+
+        ``bases`` is as for :meth:`build_power_graph`.
+        """
+        graph = self.build_power_graph(hls_result, profile, bases)
         return self.encoder.encode(
             graph,
             hls_result.report,
@@ -100,25 +151,40 @@ class GraphConstructor:
             use_edge_features=self.config.edge_features,
         )
 
+    # ------------------------------------------------------------ base graph
+
+    def _base_graph(self, function: Function, profile: ActivityProfile) -> _BaseGraph:
+        instructions = [instr for instr in function.instructions if instr.opcode != Opcode.RET]
+        roots = pointer_roots(function)
+        graph, load_store_buffers, uid_to_node = self._initial_graph(
+            instructions, roots, profile
+        )
+        buffer_nodes: dict[str, int] = {}
+        if self.config.buffer_insertion:
+            buffer_nodes = self._insert_buffers(
+                graph, function, instructions, roots, load_store_buffers, uid_to_node
+            )
+        return _BaseGraph(function, profile, graph, uid_to_node, buffer_nodes)
+
     # -------------------------------------------------------------- pass 1: DFG
 
+    @staticmethod
     def _initial_graph(
-        self, hls_result: HLSResult, profile: ActivityProfile
+        instructions: list[Instruction], roots: dict, profile: ActivityProfile
     ) -> tuple[PowerGraph, dict[int, str], dict[int, int]]:
-        function = hls_result.design.function
-        roots = pointer_roots(function)
         graph = PowerGraph()
-        instruction_nodes: dict[int, int] = {}
+        uid_to_node: dict[int, int] = {}
         load_store_buffers: dict[int, str] = {}
+        result_stats: dict[int, ValueStreamStats] = {}
+        operand_stats: dict[int, list[ValueStreamStats]] = {}
 
-        for instr in function.instructions:
-            if instr.opcode == Opcode.RET:
-                continue
-            node_id = graph.new_node_id()
-            instruction_nodes[instr.uid] = node_id
-            input_stats = ValueStreamStats(bit_width=0)
-            for slot in range(len(instr.operands)):
-                input_stats = input_stats.merged_with(profile.operand_stats(instr.uid, slot))
+        for node_id, instr in enumerate(instructions):
+            uid = instr.uid
+            uid_to_node[uid] = node_id
+            result = result_stats[uid] = profile.result_stats(uid)
+            operands = operand_stats[uid] = [
+                profile.operand_stats(uid, slot) for slot in range(len(instr.operands))
+            ]
             graph.add_node(
                 PowerGraphNode(
                     node_id=node_id,
@@ -127,8 +193,13 @@ class GraphConstructor:
                     category=instr.category.value,
                     is_arithmetic=instr.is_arithmetic,
                     bitwidth=instr.type.bit_width if instr.has_result else 32,
-                    result_stats=profile.result_stats(instr.uid),
-                    input_stats=input_stats,
+                    result_stats=result,
+                    input_stats=ValueStreamStats(
+                        max([0, *(stats.bit_width for stats in operands)]),
+                        sum(stats.exec_count for stats in operands),
+                        sum(stats.change_count for stats in operands),
+                        sum(stats.hamming_sum for stats in operands),
+                    ),
                     name=instr.name,
                 )
             )
@@ -140,43 +211,39 @@ class GraphConstructor:
                 if root is not None:
                     load_store_buffers[node_id] = root.name
 
-        for instr in function.instructions:
-            if instr.opcode == Opcode.RET:
-                continue
-            dst_id = instruction_nodes[instr.uid]
+        for instr in instructions:
+            dst_id = uid_to_node[instr.uid]
             for slot, operand in enumerate(instr.operands):
-                if isinstance(operand, Instruction) and operand.uid in instruction_nodes:
-                    src_id = instruction_nodes[operand.uid]
+                if isinstance(operand, Instruction) and operand.uid in uid_to_node:
                     graph.add_edge(
                         PowerGraphEdge(
-                            src=src_id,
+                            src=uid_to_node[operand.uid],
                             dst=dst_id,
-                            src_stats=profile.result_stats(operand.uid),
-                            snk_stats=profile.operand_stats(instr.uid, slot),
+                            src_stats=result_stats[operand.uid],
+                            snk_stats=operand_stats[instr.uid][slot],
                             bitwidth=operand.type.bit_width,
                         )
                     )
 
-        return graph, load_store_buffers, instruction_nodes
+        return graph, load_store_buffers, uid_to_node
 
     # ------------------------------------------------------- pass 2: buffers
 
+    @staticmethod
     def _insert_buffers(
-        self,
         graph: PowerGraph,
-        hls_result: HLSResult,
+        function: Function,
+        instructions: list[Instruction],
+        roots: dict,
         load_store_buffers: dict[int, str],
         uid_to_node: dict[int, int],
-    ) -> None:
-        design = hls_result.design
-        function = design.function
-
+    ) -> dict[str, int]:
+        """Insert the buffer nodes; returns them by buffer name."""
         buffer_nodes: dict[str, int] = {}
 
         def buffer_node_for(name: str, kind: str, bits: int) -> int:
             if name in buffer_nodes:
                 return buffer_nodes[name]
-            partition = design.array_partitions.get(name)
             node_id = graph.new_node_id()
             graph.add_node(
                 PowerGraphNode(
@@ -189,7 +256,6 @@ class GraphConstructor:
                     buffer_name=name,
                     buffer_kind=kind,
                     buffer_bits=bits,
-                    partition_factor=partition.factor if partition else 1,
                     name=f"buf_{name}",
                 )
             )
@@ -206,7 +272,7 @@ class GraphConstructor:
                 )
 
         # Internal buffers from allocas.
-        for instr in function.instructions:
+        for instr in instructions:
             if instr.opcode == Opcode.ALLOCA:
                 allocated = instr.attrs["allocated_type"]
                 if isinstance(allocated, ArrayType):
@@ -217,13 +283,8 @@ class GraphConstructor:
 
         # Connect loads and stores to their buffers.
         for node_id, buffer_name in load_store_buffers.items():
-            if node_id not in graph.nodes:
-                continue
             node = graph.nodes[node_id]
-            kind = "io"
-            buffer_id = buffer_nodes.get(buffer_name)
-            if buffer_id is None:
-                buffer_id = buffer_node_for(buffer_name, kind, 0)
+            buffer_id = buffer_node_for(buffer_name, "io", 0)
             if node.opcode == Opcode.LOAD.value:
                 graph.add_edge(
                     PowerGraphEdge(
@@ -247,13 +308,10 @@ class GraphConstructor:
 
         # Remove address-generation nodes, reconnecting index producers to the
         # buffer they address (the address bus toggling still matters).
-        roots = pointer_roots(function)
-        for instr in function.instructions:
+        for instr in instructions:
             if instr.opcode not in (Opcode.GETELEMENTPTR, Opcode.ALLOCA):
                 continue
-            node_id = uid_to_node.get(instr.uid)
-            if node_id is None or node_id not in graph.nodes:
-                continue
+            node_id = uid_to_node[instr.uid]
             if instr.opcode == Opcode.GETELEMENTPTR:
                 root = roots.get(instr.uid)
                 buffer_id = buffer_nodes.get(root.name) if root is not None else None
@@ -269,11 +327,13 @@ class GraphConstructor:
                             )
                         )
             graph.remove_node(node_id)
+        return buffer_nodes
 
     # ------------------------------------------------------ pass 3: merging
 
+    @staticmethod
     def _merge_datapaths(
-        self, graph: PowerGraph, hls_result: HLSResult, uid_to_node: dict[int, int]
+        graph: PowerGraph, hls_result: HLSResult, uid_to_node: dict[int, int]
     ) -> None:
         # (a) Merge operations bound to the same functional unit.
         for unit in hls_result.binding.units:
@@ -290,7 +350,7 @@ class GraphConstructor:
 
         # (b) Merge identical chains: same opcode, same buffer, same neighbours.
         signature_groups: dict[tuple, list[int]] = {}
-        for node_id, node in list(graph.nodes.items()):
+        for node_id, node in graph.nodes.items():
             if node.kind != "op":
                 continue
             signature = (

@@ -88,38 +88,79 @@ class FeatureEncoder:
         baseline_report: HLSReport | None = None,
         use_edge_features: bool = True,
     ) -> HeteroGraph:
-        """Freeze ``graph`` into an immutable :class:`HeteroGraph`."""
+        """Freeze ``graph`` into an immutable :class:`HeteroGraph`.
+
+        Nodes are laid out by id and edges by ``(src, dst)``.  The one-hot
+        blocks are set by index and the numeric block written as one array.
+        """
         latency = max(1, report.latency_cycles)
         node_ids = sorted(graph.nodes)
         index_of = {node_id: i for i, node_id in enumerate(node_ids)}
+        nodes = [graph.nodes[node_id] for node_id in node_ids]
+        num_nodes = len(nodes)
+        num_types = len(NODE_TYPE_CATEGORIES)
+        num_opcodes = len(OPCODE_VOCABULARY)
 
-        node_features = np.zeros((len(node_ids), self.node_feature_dim))
-        node_is_arithmetic = np.zeros(len(node_ids), dtype=bool)
-        node_names: list[str] = []
-        for node_id in node_ids:
-            node = graph.nodes[node_id]
-            row = index_of[node_id]
-            node_features[row] = self._node_feature_row(node, latency)
-            node_is_arithmetic[row] = node.is_arithmetic
-            node_names.append(node.name or f"n{node_id}")
-
-        num_edges = graph.num_edges
-        edge_index = np.zeros((2, num_edges), dtype=np.int64)
-        edge_features = np.zeros((num_edges, self.edge_feature_dim))
-        edge_types = np.zeros(num_edges, dtype=np.int64)
-        for position, ((src, dst), edge) in enumerate(sorted(graph.edges.items())):
-            edge_index[0, position] = index_of[src]
-            edge_index[1, position] = index_of[dst]
-            if use_edge_features:
-                edge_features[position] = [
-                    edge.src_stats.switching_activity(latency),
-                    edge.snk_stats.switching_activity(latency),
-                    edge.src_stats.activation_rate(latency),
-                    edge.snk_stats.activation_rate(latency),
-                ]
-            edge_types[position] = relation_type_index(
-                graph.nodes[src].is_arithmetic, graph.nodes[dst].is_arithmetic
+        type_columns: list[int] = []
+        opcode_columns: list[int] = []
+        activity: list[tuple[float, float, float, float, int]] = []
+        counts: list[tuple[int, int, int]] = []
+        for node in nodes:
+            type_column, opcode_column = self._one_hot_columns(node)
+            type_columns.append(type_column)
+            opcode_columns.append(num_types + opcode_column)
+            input_sa = node.input_stats.switching_activity(latency)
+            output_sa = node.result_stats.switching_activity(latency)
+            # Buffers do not produce values themselves in the IR trace; their
+            # activity is carried by the adjacent load/store edges, so the
+            # node level features describe the memory itself.
+            activation_rate = (
+                node.input_stats if node.kind == "buffer" else node.result_stats
+            ).activation_rate(latency)
+            activity.append(
+                (activation_rate, input_sa, output_sa, input_sa + output_sa, node.partition_factor)
             )
+            counts.append((node.bitwidth, node.buffer_bits, node.merged_count))
+        # Column order of NODE_NUMERIC_FEATURES.
+        numeric = np.empty((num_nodes, len(NODE_NUMERIC_FEATURES)))
+        numeric[:, [0, 1, 2, 3, 7]] = np.array(activity, dtype=np.float64).reshape(num_nodes, 5)
+        numeric[:, 4:7] = np.log1p(np.array(counts, dtype=np.int64).reshape(num_nodes, 3))
+
+        node_features = np.zeros((num_nodes, self.node_feature_dim))
+        rows = np.arange(num_nodes)
+        node_features[rows, type_columns] = 1.0
+        node_features[rows, opcode_columns] = 1.0
+        node_features[:, num_types + num_opcodes :] = numeric
+        node_is_arithmetic = np.array([node.is_arithmetic for node in nodes], dtype=bool)
+        node_names = [node.name or f"n{node_id}" for node_id, node in zip(node_ids, nodes)]
+
+        edges = sorted(graph.edges.items())
+        edge_index = np.array(
+            [[index_of[src] for (src, _), _ in edges], [index_of[dst] for (_, dst), _ in edges]],
+            dtype=np.int64,
+        ).reshape(2, len(edges))
+        if use_edge_features:
+            edge_features = np.array(
+                [
+                    (
+                        edge.src_stats.switching_activity(latency),
+                        edge.snk_stats.switching_activity(latency),
+                        edge.src_stats.activation_rate(latency),
+                        edge.snk_stats.activation_rate(latency),
+                    )
+                    for _, edge in edges
+                ],
+                dtype=np.float64,
+            ).reshape(len(edges), self.edge_feature_dim)
+        else:
+            edge_features = np.zeros((len(edges), self.edge_feature_dim))
+        edge_types = np.array(
+            [
+                relation_type_index(graph.nodes[src].is_arithmetic, graph.nodes[dst].is_arithmetic)
+                for (src, dst), _ in edges
+            ],
+            dtype=np.int64,
+        )
 
         metadata = report.metadata_vector(baseline_report)
         return HeteroGraph(
@@ -134,36 +175,15 @@ class FeatureEncoder:
 
     # --------------------------------------------------------------- internals
 
-    def _node_feature_row(self, node: PowerGraphNode, latency: int) -> np.ndarray:
-        type_onehot = np.zeros(len(NODE_TYPE_CATEGORIES))
-        category = "buffer" if node.kind == "buffer" else node.category
-        type_onehot[self._type_index.get(category, self._type_index["control"])] = 1.0
-
-        opcode_onehot = np.zeros(len(OPCODE_VOCABULARY))
+    def _one_hot_columns(self, node: PowerGraphNode) -> tuple[int, int]:
+        """Columns of the node's type and opcode within their one-hot blocks."""
         if node.kind == "buffer":
+            category = "buffer"
             opcode_key = "buffer_io" if node.buffer_kind == "io" else "buffer_internal"
         else:
+            category = node.category
             opcode_key = node.opcode
-        opcode_onehot[self._opcode_index.get(opcode_key, 0)] = 1.0
-
-        activation_rate = node.result_stats.activation_rate(latency)
-        input_sa = node.input_stats.switching_activity(latency)
-        output_sa = node.result_stats.switching_activity(latency)
-        if node.kind == "buffer":
-            # Buffers do not produce values themselves in the IR trace; their
-            # activity is carried by the adjacent load/store edges, so the node
-            # level features describe the memory itself.
-            activation_rate = node.input_stats.activation_rate(latency)
-        numeric = np.array(
-            [
-                activation_rate,
-                input_sa,
-                output_sa,
-                input_sa + output_sa,
-                np.log1p(node.bitwidth),
-                np.log1p(node.buffer_bits),
-                np.log1p(node.merged_count),
-                float(node.partition_factor),
-            ]
+        return (
+            self._type_index.get(category, self._type_index["control"]),
+            self._opcode_index.get(opcode_key, 0),
         )
-        return np.concatenate([type_onehot, opcode_onehot, numeric])

@@ -173,7 +173,12 @@ class HeteroGraph:
         if not graphs:
             raise ValueError("cannot batch an empty list of graphs")
         node_dim = graphs[0].node_feature_dim
-        edge_dim = graphs[0].edge_feature_dim
+        # An edgeless graph stores (0, 0) edge features: the batch's edge
+        # feature dim comes from the first graph that has edges.
+        edge_dim = next(
+            (graph.edge_feature_dim for graph in graphs if graph.num_edges),
+            graphs[0].edge_feature_dim,
+        )
         meta_dim = graphs[0].metadata_dim
         node_features, edge_features, edge_types, metadata = [], [], [], []
         edge_index_parts, arith, batch, names = [], [], [], []

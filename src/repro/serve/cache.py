@@ -17,7 +17,12 @@ are memoised under content addresses:
   predictions, and a client-supplied sample can never poison the predictions
   of the service's own featurisation of the same directives.
 
-Both stores are bounded LRU maps with hit / miss / eviction counters.
+Both stores are bounded LRU maps with hit / miss / eviction counters.  The
+memory tier keeps each sample compact and lossless (:class:`CompactSample`):
+node features as their nonzero entries, positions, edge indices and relation
+types in the narrowest integer type that holds them, and no per-graph
+``batch`` vector.  A lookup rebuilds a dense sample whose arrays are bitwise equal to
+the ones stored, and which shares no array with the store.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numpy as np
 
 from repro.graph.dataset import GraphSample
 from repro.graph.features import FEATURE_VERSION
+from repro.graph.hetero_graph import HeteroGraph
 
 
 def content_key(kernel: str, directives: str, feature_version: int = FEATURE_VERSION) -> str:
@@ -66,6 +72,92 @@ def sample_fingerprint(sample: GraphSample) -> str:
         digest.update(b"\x00")
         digest.update(np.ascontiguousarray(block).tobytes())
     return digest.hexdigest()
+
+
+#: Signed integer types from narrowest, with the range each holds.
+_INT_TYPES = [
+    (dtype, int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+    for dtype in (np.int8, np.int16, np.int32)
+]
+
+
+def _narrowed(array: np.ndarray) -> np.ndarray:
+    """A copy of integer ``array`` in the narrowest signed type that holds it."""
+    low, high = (int(array.min()), int(array.max())) if array.size else (0, 0)
+    for dtype, smallest, largest in _INT_TYPES:
+        if smallest <= low and high <= largest:
+            return array.astype(dtype)
+    return array.copy()
+
+
+def _with_graph(sample: GraphSample, graph: HeteroGraph | None) -> GraphSample:
+    """``sample`` with ``graph`` and a copy of its ``extras``."""
+    other = object.__new__(GraphSample)  # GraphSample.__init__ only assigns
+    other.__dict__.update(sample.__dict__, graph=graph, extras=dict(sample.extras))
+    return other
+
+
+@dataclass(slots=True)
+class CompactSample:
+    """One sample as the memory tier holds it; :meth:`expand` rebuilds it.
+
+    Node features are stored as their nonzero entries: the values and their
+    flat positions in the matrix.  "Nonzero" is decided on the bit pattern,
+    so ``-0.0`` and NaN payloads survive the round trip.  The other arrays
+    are copies; position, edge-index and relation-type arrays are held in the
+    narrowest integer type that holds their values, and widened back on
+    :meth:`expand`.
+    """
+
+    sample: GraphSample  # every field but ``graph``, which is None here
+    feature_shape: tuple[int, ...]
+    values: np.ndarray
+    positions: np.ndarray
+    edge_index: np.ndarray
+    edge_features: np.ndarray
+    edge_types: np.ndarray
+    metadata: np.ndarray
+    node_is_arithmetic: np.ndarray
+    node_names: tuple[str, ...]
+    batch: np.ndarray | None
+    num_graphs: int
+
+    @classmethod
+    def of(cls, sample: GraphSample) -> "CompactSample":
+        graph = sample.graph
+        features = np.ascontiguousarray(graph.node_features).reshape(-1)
+        positions = np.flatnonzero(features.view(np.int64))
+        return cls(
+            sample=_with_graph(sample, None),
+            feature_shape=graph.node_features.shape,
+            values=features[positions],
+            positions=_narrowed(positions),
+            edge_index=_narrowed(graph.edge_index),
+            edge_features=graph.edge_features.copy(),
+            edge_types=_narrowed(graph.edge_types),
+            metadata=graph.metadata.copy(),
+            node_is_arithmetic=graph.node_is_arithmetic.copy(),
+            node_names=tuple(graph.node_names),
+            batch=graph.batch.copy() if graph.batch.any() else None,
+            num_graphs=graph.num_graphs,
+        )
+
+    def expand(self) -> GraphSample:
+        """A dense sample bitwise equal to the stored one, sharing no array with it."""
+        features = np.zeros(self.feature_shape)
+        features.reshape(-1)[self.positions] = self.values
+        graph = HeteroGraph(
+            node_features=features,
+            edge_index=self.edge_index.astype(np.int64),
+            edge_features=self.edge_features.copy(),
+            edge_types=self.edge_types.astype(np.int64),
+            metadata=self.metadata.copy(),
+            node_is_arithmetic=self.node_is_arithmetic.copy(),
+            node_names=list(self.node_names),
+            batch=None if self.batch is None else self.batch.copy(),
+            num_graphs=self.num_graphs,
+        )
+        return _with_graph(self.sample, graph)
 
 
 @dataclass
@@ -151,6 +243,11 @@ class InferenceCache:
     the disk tier's cost-aware eviction.  Memory-tier eviction never touches
     the disk tier, which is what lets hit rates survive a service restart.
 
+    The memory tier holds each sample as a :class:`CompactSample`, about a
+    third of the dense sample's size; :meth:`get_sample` returns a new dense
+    sample, bitwise equal to the one put, on every hit.  The disk tier stores
+    dense samples.
+
     Thread-safe: the runtime drives this cache from coalescer flush threads
     and direct callers concurrently, so memory-tier accesses hold an internal
     lock (an unlocked ``OrderedDict`` get/evict race raises ``KeyError``).
@@ -192,6 +289,8 @@ class InferenceCache:
         start = time.perf_counter()
         with self._lock:
             cached = self.samples.get(key)
+        if cached is not None:
+            cached = cached.expand()
         self._observe(
             "sample", "memory", "hit" if cached is not None else "miss", start
         )
@@ -204,16 +303,18 @@ class InferenceCache:
                 "sample", "disk", "hit" if from_disk is not None else "miss", start
             )
             if from_disk is not None:
+                compact = CompactSample.of(from_disk)
                 with self._lock:
-                    self.samples.put(key, from_disk)
+                    self.samples.put(key, compact)
                 return from_disk
         return None
 
     def put_sample(self, sample: GraphSample, cost_seconds: float = 0.0) -> str:
         key = self.sample_key(sample.kernel, sample.directives)
         start = time.perf_counter()
+        compact = CompactSample.of(sample)
         with self._lock:
-            self.samples.put(key, sample)
+            self.samples.put(key, compact)
         self._observe("sample", "memory", "put", start)
         if self.persistent is not None:
             start = time.perf_counter()

@@ -89,6 +89,37 @@ def test_batching_offsets_and_metadata(random_graph_factory):
         assert graph_of_src == graph_of_dst
 
 
+def test_batching_does_not_depend_on_where_an_edgeless_graph_sits(random_graph_factory):
+    with_edges = random_graph_factory(num_nodes=5, num_edges=7, seed=2)
+    edgeless = HeteroGraph(
+        node_features=np.ones((3, with_edges.node_feature_dim)),
+        edge_index=np.zeros((2, 0)),
+        edge_features=np.zeros((0, 4)),
+        edge_types=np.zeros(0),
+        metadata=np.ones(with_edges.metadata_dim),
+        node_is_arithmetic=[True, False, True],
+    )
+    assert edgeless.edge_feature_dim == 0
+    first = HeteroGraph.batch_graphs([with_edges, edgeless])
+    second = HeteroGraph.batch_graphs([edgeless, with_edges])
+    # Edge arrays are the same up to the node offset of the edged graph.
+    assert second.edge_features.tobytes() == first.edge_features.tobytes()
+    assert second.edge_features.shape == first.edge_features.shape == (7, 4)
+    assert np.array_equal(second.edge_index, first.edge_index + edgeless.num_nodes)
+    assert np.array_equal(second.edge_types, first.edge_types)
+    # Node arrays are the same with the two graphs' blocks swapped.
+    assert np.array_equal(
+        second.node_features,
+        np.concatenate([first.node_features[5:], first.node_features[:5]]),
+    )
+    assert np.array_equal(second.metadata, first.metadata[::-1])
+    for batch, order in ((first, (with_edges, edgeless)), (second, (edgeless, with_edges))):
+        for part, original in zip(batch.unbatch(), order):
+            assert np.array_equal(part.node_features, original.node_features)
+            assert np.array_equal(part.edge_index, original.edge_index)
+            assert np.array_equal(part.edge_features.reshape(-1), original.edge_features.reshape(-1))
+
+
 def test_batching_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         HeteroGraph.batch_graphs([])
